@@ -3,7 +3,8 @@
 .PHONY: install test test-all lint bench bench-sched bench-solver \
 	bench-smoke table2 fig8 repair gallery fuzz fuzz-smoke \
 	fuzz-contract-smoke contract-matrix fault-smoke fault-sweep \
-	chaos-smoke chaos-sweep engines-smoke serve-smoke coverage all
+	chaos-smoke chaos-sweep engines-smoke serve-smoke sched-smoke \
+	coverage all
 
 install:
 	pip install -e . || python setup.py develop
@@ -20,6 +21,7 @@ test:
 	$(MAKE) chaos-smoke
 	$(MAKE) engines-smoke
 	$(MAKE) serve-smoke
+	$(MAKE) sched-smoke
 
 test-all:
 	pytest tests/ -q
@@ -113,6 +115,13 @@ bench:
 # numbers land in EXPERIMENTS.md.
 bench-sched:
 	python benchmarks/bench_scheduler.py
+
+# Worker-pool gate on a witness-heavy two-engine unit: jobs=2 must be
+# byte-identical to jobs=1, also when workers crash mid-function and
+# resume from their delta-streamed checkpoints.  Prints worker-seconds
+# inflation (jobs=2 / jobs=1); asserts no timing.
+sched-smoke:
+	python benchmarks/bench_scheduler.py --smoke
 
 # Incremental-vs-fresh SAT ablation (persistent assumption-based
 # solving vs a fresh solver per query); writes BENCH_solver.json.

@@ -12,8 +12,17 @@ asserted — only the byte-identity of the reports is).
 
 Run directly (``python benchmarks/bench_scheduler.py``) or via
 ``make bench-sched``; also collected by pytest for the invariants.
+
+``--smoke`` (``make sched-smoke``) is the CI gate for the worker pool's
+checkpoint transport and dispatch on a witness-heavy two-engine unit:
+``jobs=2`` must be byte-identical to ``jobs=1``, and so must a ``jobs=2``
+run whose workers crash mid-function and resume from their streamed
+checkpoints.  It prints the worker-seconds inflation (``jobs=2`` over
+``jobs=1``) and asserts no timing.
 """
 
+import argparse
+import json
 import os
 import shutil
 import sys
@@ -24,7 +33,7 @@ import pytest
 
 from repro.bench.synthetic import openssl_like_source
 from repro.clou import ClouConfig
-from repro.clou.serialize import to_json
+from repro.clou.serialize import function_report_dict, to_json
 from repro.sched import AnalysisRequest, ClouSession
 
 CONFIG = ClouConfig(timeout_seconds=120.0)
@@ -78,7 +87,66 @@ def test_parallel_speedup_on_multicore(benchmark):
     assert by_label["jobs=4"] >= 2.0
 
 
-def main():
+# Smoke unit: every function carries dozens to hundreds of witnesses,
+# and the positional crash fires once per item after this many
+# candidates, with several witnesses already checkpointed.
+SMOKE_FUNCTIONS = 8
+SMOKE_CRASH = "crash@engine.candidate#20"
+
+
+def _smoke_batch(config):
+    source = openssl_like_source(n_functions=SMOKE_FUNCTIONS, seed=23)
+    return [AnalysisRequest.analyze(source, engine=engine,
+                                    name="openssl_like", config=config)
+            for engine in ("pht", "stl")]
+
+
+def _function_reports(results) -> str:
+    """Stable JSON of every function report (the request config, which
+    carries the fault spec, is left out)."""
+    return json.dumps([[function_report_dict(f, stable=True)
+                        for f in result.report.functions]
+                       for result in results], sort_keys=True)
+
+
+def smoke() -> int:
+    failures = []
+    runs = {}
+    for jobs in (1, 2):
+        results = ClouSession(jobs=jobs, cache=False).run(
+            _smoke_batch(CONFIG))
+        runs[jobs] = (_function_reports(results),
+                      sum(r.stats.work_seconds for r in results),
+                      sum(len(f.witnesses) for r in results
+                          for f in r.report.functions))
+    if runs[1][0] != runs[2][0]:
+        failures.append("jobs=2 reports differ from jobs=1")
+    session = ClouSession(jobs=2, cache=False, retries=2, timeout=120.0)
+    crashed = session.run(_smoke_batch(
+        ClouConfig(timeout_seconds=120.0, fault_spec=SMOKE_CRASH)))
+    if session.stats.resumed == 0:
+        failures.append(f"{SMOKE_CRASH} never resumed a worker")
+    if _function_reports(crashed) != runs[1][0]:
+        failures.append("crash-resumed jobs=2 reports differ from jobs=1")
+    print(f"sched-smoke — {SMOKE_FUNCTIONS} functions x pht,stl, "
+          f"{runs[1][2]} witnesses, {os.cpu_count()} cores")
+    print(f"  worker-seconds jobs=1 {runs[1][1]:.2f}s, "
+          f"jobs=2 {runs[2][1]:.2f}s, "
+          f"inflation {runs[2][1] / runs[1][1]:.2f}x")
+    print(f"  {SMOKE_CRASH}: {session.stats.resumed} resumed attempts")
+    for failure in failures:
+        print(f"FAIL: {failure}")
+    print("sched-smoke: " + ("FAILED" if failures else "ok"))
+    return 1 if failures else 0
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--smoke", action="store_true",
+                        help="byte-identity gate: jobs=1 vs jobs=2, and "
+                        "crash-resume at jobs=2")
+    if parser.parse_args(argv).smoke:
+        return smoke()
     print(f"scheduler speedup — {N_FUNCTIONS} public functions, "
           f"engine=pht, {os.cpu_count()} cores")
     print(f"{'configuration':22s} {'wall':>8s} {'speedup':>8s} "

@@ -22,16 +22,23 @@ order, so downstream output is byte-stable across ``--jobs`` settings.
 
 Worker processes persist across items, so worker-side memoization (the
 compiled-module and S-AEG caches in :mod:`repro.sched.worker`) pays off
-when many items share a translation unit.
+when many items share a translation unit.  Dispatch is **memo-affine**
+for workers that declare an ``affinity_key(payload)`` attribute: an
+idle slot first takes a queued item whose key it has already run (one
+function's ``pht`` and ``stl`` items share one worker-side S-AEG), else
+the queue head — see :func:`select_item`.
 
-Degradation support (workers opting in via a ``supports_checkpoints``
+Degradation support (workers opting in via a ``checkpoint_codec``
 attribute):
 
 - **checkpoint/resume** — workers stream progress snapshots up the
   pipe; a wall-clock kill, crash, or memory kill re-queues the item
   *with its last checkpoint*, so the retry resumes instead of
   restarting, and the merged result is identical to an uninterrupted
-  run;
+  run.  The codec owns the snapshot's wire form: the child sends
+  ``codec.encode`` deltas and the parent rebuilds the full snapshot
+  with ``codec.fold``; a delta that does not fold fails the item,
+  keeping what was held.  A serial run hands snapshots over whole;
 - **heartbeats** — checkpoint messages double as liveness beats:
   ``stall_timeout`` kills items whose worker went silent (hung) long
   before the full ``timeout``, distinguishing hung from merely slow;
@@ -61,6 +68,14 @@ __all__ = ["ItemOutcome", "JOBS_ENV", "SchedulerInterrupt",
 # Parent-loop tick: bounds how late a deadline kill or crash detection
 # can fire.  Small enough to be unnoticeable, large enough to be free.
 _TICK_SECONDS = 0.05
+
+# Affinity keys a slot remembers, most recent first.  Worker memos are
+# LRU, so a key run long ago is unlikely to still be warm.
+_WARM_KEYS = 8
+
+# Warm picks that may pass over the queue head before an idle slot must
+# take the head: bounds how long a requeued or cold item can wait.
+_MAX_BYPASS = 8
 
 
 class TransientError(Exception):
@@ -129,7 +144,7 @@ def run_items(worker: Callable[[Any], Any], payloads: list,
 
 def _run_serial(worker, payloads, *, retries: int) -> list[ItemOutcome]:
     outcomes = []
-    checkpoints = getattr(worker, "supports_checkpoints", False)
+    checkpoints = getattr(worker, "checkpoint_codec", None) is not None
     for index, payload in enumerate(payloads):
         outcome = ItemOutcome(index=index)
         started = time.monotonic()
@@ -217,13 +232,29 @@ def _apply_memory_limit(limit_mb: int | None) -> None:
         pass  # platform without RLIMIT_AS: ceiling is best-effort
 
 
+def _emitter(conn, index: int, codec, resume):
+    """The child's checkpoint callback for one attempt: ships each
+    snapshot up the pipe, delta-encoded against what the parent already
+    holds (``resume``)."""
+    sent = codec.base(resume)
+
+    def emit(snapshot):
+        nonlocal sent
+        delta, sent = codec.encode(snapshot, sent)
+        try:
+            conn.send((index, "checkpoint", delta))
+        except (OSError, ValueError):
+            pass  # parent gone; the terminal send will fail too
+    return emit
+
+
 def _worker_loop(worker, conn, memory_limit_mb=None):
     """Runs in the child: receive ``(index, payload, resume)``, send
     ``(index, status, value)`` — plus interim ``"checkpoint"`` messages
     when the worker supports them (these double as heartbeats).  Exits
     on the ``None`` sentinel or a closed pipe."""
     _apply_memory_limit(memory_limit_mb)
-    checkpoints = getattr(worker, "supports_checkpoints", False)
+    codec = getattr(worker, "checkpoint_codec", None)
     while True:
         try:
             message = conn.recv()
@@ -233,13 +264,10 @@ def _worker_loop(worker, conn, memory_limit_mb=None):
             return
         index, payload, resume = message
         try:
-            if checkpoints:
-                def emit(snapshot, _index=index):
-                    try:
-                        conn.send((_index, "checkpoint", snapshot))
-                    except (OSError, ValueError):
-                        pass  # parent gone; the terminal send will fail too
-                value = worker(payload, resume=resume, checkpoint=emit)
+            if codec is not None:
+                value = worker(payload, resume=resume,
+                               checkpoint=_emitter(conn, index, codec,
+                                                   resume))
             else:
                 value = worker(payload)
             status = "ok"
@@ -257,12 +285,94 @@ def _worker_loop(worker, conn, memory_limit_mb=None):
                        f"unpicklable result: {type(error).__name__}: {error}"))
 
 
+class DispatchQueue:
+    """FIFO of queued item indices with a per-affinity-key index, so a
+    warm slot finds its next item by lookup instead of a queue scan.
+    Removal is lazy: each push gets a ticket, and entries whose ticket
+    is no longer live are skipped (and dropped) when they surface."""
+
+    def __init__(self, keys: list):
+        self._keys = keys            # item index -> affinity key or None
+        self._order: deque = deque()
+        self._by_key: dict[Any, deque] = {}
+        self._live: dict[int, int] = {}   # queued index -> its ticket
+        self._tickets = 0
+        self.bypassed = 0            # warm picks since the head last left
+
+    def __len__(self) -> int:
+        return len(self._live)
+
+    def push(self, index: int, *, front: bool = False) -> None:
+        self._tickets += 1
+        entry = (self._tickets, index)
+        self._live[index] = self._tickets
+        key = self._keys[index]
+        lanes = [self._order]
+        if key is not None:
+            lanes.append(self._by_key.setdefault(key, deque()))
+        for lane in lanes:
+            (lane.appendleft if front else lane.append)(entry)
+        if front:
+            self.bypassed = 0
+
+    def _first(self, lane: deque | None) -> int | None:
+        while lane:
+            ticket, index = lane[0]
+            if self._live.get(index) == ticket:
+                return index
+            lane.popleft()
+        return None
+
+    def head(self) -> int | None:
+        return self._first(self._order)
+
+    def first(self, key) -> int | None:
+        """The oldest queued item with affinity ``key``."""
+        lane = self._by_key.get(key)
+        index = self._first(lane)
+        if index is None and lane is not None:
+            del self._by_key[key]
+        return index
+
+    def take(self, index: int) -> None:
+        if index == self.head():
+            self.bypassed = 0
+        else:
+            self.bypassed += 1
+        del self._live[index]
+
+
+def select_item(queue: DispatchQueue, warm) -> int | None:
+    """The slot-selection rule.  An idle slot takes the oldest queued
+    item whose affinity key it has already run (``warm``, most recent
+    first), so items sharing a worker-side memo share a worker.
+    Otherwise — or once warm picks have passed over the head
+    :data:`_MAX_BYPASS` times — it takes the queue head."""
+    head = queue.head()
+    if head is None or queue.bypassed >= _MAX_BYPASS:
+        return head
+    for key in warm:
+        index = queue.first(key)
+        if index is not None:
+            return index
+    return head
+
+
 @dataclass
 class _Slot:
     proc: Any
     conn: Any
     item: int | None = None      # index of the in-flight item
     started: float = 0.0
+    warm: deque = field(default_factory=lambda: deque(maxlen=_WARM_KEYS))
+
+    def remember(self, key) -> None:
+        """Record that this slot's worker memo now holds ``key``."""
+        if key is None:
+            return
+        if key in self.warm:
+            self.warm.remove(key)
+        self.warm.appendleft(key)
 
 
 @dataclass
@@ -272,7 +382,7 @@ class _Pending:
     elapsed: float = 0.0
     last_error: str | None = None
     crashed: bool = False
-    checkpoint: Any = None     # last snapshot streamed up the pipe
+    checkpoint: Any = None     # full snapshot folded from the pipe
     last_beat: float = 0.0     # when that snapshot (or the send) happened
     resumed: int = 0
     memory_killed: bool = False
@@ -338,9 +448,14 @@ class _Pool:
         from multiprocessing.connection import wait as conn_wait
 
         states = {i: _Pending(index=i) for i in range(len(payloads))}
-        queue = deque(range(len(payloads)))
+        affinity = getattr(self._worker, "affinity_key", None)
+        keys = [affinity(payload) if affinity else None
+                for payload in payloads]
+        queue = DispatchQueue(keys)
+        for index in range(len(payloads)):
+            queue.push(index)
         outcomes: dict[int, ItemOutcome] = {}
-        heartbeats = getattr(self._worker, "supports_checkpoints", False)
+        codec = getattr(self._worker, "checkpoint_codec", None)
 
         # A SIGTERM (e.g. from a batch supervisor) should shut down as
         # cleanly as Ctrl-C; only the main thread may install handlers.
@@ -358,12 +473,15 @@ class _Pool:
                 elapsed=state.elapsed, resumed=state.resumed,
                 memory_killed=state.memory_killed, hung=state.hung,
                 **kwargs)
+            # A finished item needs no resume point; a failed one keeps
+            # it as ``partial``.
+            state.checkpoint = None
 
         def requeue_or_fail(index: int, error: str, crashed: bool) -> None:
             state = states[index]
             state.last_error, state.crashed = error, crashed
             if state.attempts <= retries:
-                queue.append(index)
+                queue.push(index)
             else:
                 finish(index, error=error, crashed=crashed,
                        partial=state.checkpoint)
@@ -378,7 +496,7 @@ class _Pool:
             state.elapsed += now - slot.started
             if state.checkpoint is not None and state.attempts <= retries:
                 state.last_error = error
-                queue.append(index)
+                queue.push(index)
             else:
                 finish(index, error=error, timed_out=True,
                        partial=state.checkpoint)
@@ -395,7 +513,8 @@ class _Pool:
                         slot = self._spawn()
                     if slot is None:
                         break
-                    index = queue.popleft()
+                    index = select_item(queue, slot.warm)
+                    queue.take(index)
                     state = states[index]
                     state.attempts += 1
                     state.crashed = False
@@ -414,10 +533,11 @@ class _Pool:
                         state.attempts -= 1
                         if state.checkpoint is not None:
                             state.resumed -= 1
-                        queue.appendleft(index)
+                        queue.push(index, front=True)
                         self._retire(slot)
                         continue
                     slot.item = index
+                    slot.remember(keys[index])
                     slot.started = time.monotonic()
                     state.last_beat = slot.started
 
@@ -442,7 +562,15 @@ class _Pool:
                             while terminal is None:
                                 _, status, value = slot.conn.recv()
                                 if status == "checkpoint":
-                                    state.checkpoint = value
+                                    try:
+                                        state.checkpoint = codec.fold(
+                                            state.checkpoint, value)
+                                    except ValueError as error:
+                                        terminal = (
+                                            "broken",
+                                            "checkpoint stream broken: "
+                                            f"{error}")
+                                        break
                                     state.last_beat = time.monotonic()
                                     if not slot.conn.poll():
                                         break
@@ -473,6 +601,12 @@ class _Pool:
                             state.memory_killed = True
                             requeue_or_fail(index, value, crashed=False)
                             self._retire(slot)
+                        elif status == "broken":
+                            # The worker is still running the item; stop
+                            # it and keep every witness already folded.
+                            finish(index, error=value,
+                                   partial=state.checkpoint)
+                            self._retire(slot)
                         else:
                             finish(index, error=value)
                     elif not slot.proc.is_alive() and not slot.conn.poll():
@@ -485,7 +619,7 @@ class _Pool:
                         reap(slot, index,
                              f"wall-clock timeout after {timeout:g}s",
                              now=now)
-                    elif heartbeats and stall_timeout is not None and \
+                    elif codec is not None and stall_timeout is not None and \
                             state.last_beat and \
                             now - state.last_beat > stall_timeout:
                         # No heartbeat for a full stall window: hung, not

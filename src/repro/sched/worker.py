@@ -22,6 +22,12 @@ one-S-AEG-per-function sharing across engines):
 
 Caches are bounded LRU; entries are keyed by content, so sharing them
 across sessions in one process is behaviour-preserving.
+
+:func:`execute_item` also tells the scheduler pool two things about
+these items: how checkpoint snapshots travel the worker pipe
+(:class:`SnapshotDeltas`) and which memo entry an item warms
+(:func:`affinity_key`), so the pool can route a function's items to the
+worker that already holds its S-AEG.
 """
 
 from __future__ import annotations
@@ -79,16 +85,18 @@ def module_for(source: str, name: str = ""):
 
 
 def saeg_for(source: str, name: str, function: str) -> SAEG:
-    """One shared S-AEG per (source, function) — both engines read it."""
+    """One shared S-AEG per (source, function) — both engines read it.
+    A hit touches neither the module memo nor the compiler: the module
+    is looked up only when the S-AEG has to be built."""
     key = (source_digest(source) + "\x00" + name, function)
     if key in _saeg_cache:
         _saeg_stats["hits"] += 1
     else:
         _saeg_stats["misses"] += 1
-    module = module_for(source, name)
     return _cached(
         _saeg_cache, _SAEG_CACHE_SIZE, key,
-        lambda: SAEG(build_acfg(module, function).function))
+        lambda: SAEG(build_acfg(module_for(source, name),
+                                function).function))
 
 
 def analyze_item(source: str, name: str, function: str, engine: str,
@@ -174,6 +182,64 @@ def report_from_checkpoint(payload: dict, partial: dict,
     return report
 
 
+class CheckpointMismatch(ValueError):
+    """A checkpoint delta does not extend the witnesses already held."""
+
+
+class SnapshotDeltas:
+    """Pipe wire form of engine checkpoint snapshots.
+
+    An engine snapshot (see :meth:`DetectionEngine.run`, read back by
+    :func:`report_from_checkpoint`) is self-contained: the coverage
+    counters plus *every* witness found so far.  Shipping it whole after
+    each candidate makes checkpoint traffic quadratic in the witness
+    count, so the worker side of the pipe sends the counters, only the
+    witnesses new since its last send, and ``base`` — how many witnesses
+    the parent already holds.  The parent folds each delta into its held
+    snapshot in place, so resume payloads and salvaged partials keep the
+    full form.
+    """
+
+    @staticmethod
+    def base(resume: dict | None) -> int:
+        """Witnesses the parent holds when it sends ``resume``."""
+        return len(resume["witnesses"]) if resume else 0
+
+    @staticmethod
+    def encode(snapshot: dict, sent: int) -> tuple[dict, int]:
+        """``(delta, new sent count)`` for one full snapshot."""
+        witnesses = snapshot["witnesses"]
+        return ({**snapshot, "witnesses": witnesses[sent:], "base": sent},
+                len(witnesses))
+
+    @staticmethod
+    def fold(held: dict | None, delta: dict) -> dict:
+        """Apply ``delta`` to the held snapshot (in place when there is
+        one).  A ``base`` that does not match the held witness count
+        raises :class:`CheckpointMismatch` and leaves ``held`` as is."""
+        have = len(held["witnesses"]) if held else 0
+        if delta["base"] != have:
+            raise CheckpointMismatch(
+                f"delta starts at witness {delta['base']}, "
+                f"but {have} are held")
+        if held is None:
+            held = {"witnesses": []}
+        for key, value in delta.items():
+            if key not in ("base", "witnesses"):
+                held[key] = value
+        held["witnesses"].extend(delta["witnesses"])
+        return held
+
+
+def affinity_key(payload: dict):
+    """The worker-side memo entry an item warms, or None.  Analyze items
+    of one (source, name, function) share one S-AEG (:func:`saeg_for`),
+    so the pool prefers to run them on the same worker."""
+    if payload.get("kind") != "analyze":
+        return None
+    return (payload["source"], payload.get("name", ""), payload["function"])
+
+
 def execute_item(payload: dict, *, resume: dict | None = None,
                  checkpoint=None):
     """Scheduler entry point: dispatch one work-item dict.
@@ -219,5 +285,7 @@ def execute_item(payload: dict, *, resume: dict | None = None,
     raise AnalysisError(f"unknown work-item kind {kind!r}")
 
 
-# Opt in to the scheduler's checkpoint/resume + heartbeat protocol.
-execute_item.supports_checkpoints = True
+# Opt in to the scheduler's checkpoint/resume + heartbeat protocol,
+# with delta-encoded snapshots on the pipe, and to memo-affine dispatch.
+execute_item.checkpoint_codec = SnapshotDeltas
+execute_item.affinity_key = affinity_key

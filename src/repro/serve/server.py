@@ -235,6 +235,12 @@ class ClouServer:
         self._stop.set()
         listener, self._listener = self._listener, None
         if listener is not None:
+            # close() alone leaves the accept thread blocked in
+            # accept(); shutting the socket down wakes it now.
+            try:
+                listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 listener.close()
             except OSError:

@@ -231,6 +231,25 @@ class TestSAEGSharing:
                            SPECTRE_V1, engine="stl", name="share")),
                        stable=True) == to_json(stl, stable=True)
 
+    def test_saeg_hit_compiles_nothing(self, monkeypatch):
+        """An S-AEG memo hit must not look up the module: with the
+        module memo evicted, that lookup would recompile the unit."""
+        import repro.minic
+
+        worker.clear_caches()
+        first = worker.saeg_for(SPECTRE_V1, "memo", "victim")
+        worker._module_cache.clear()
+        compiles = []
+        real = repro.minic.compile_c
+
+        def counting_compile(*args, **kwargs):
+            compiles.append(args)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(repro.minic, "compile_c", counting_compile)
+        assert worker.saeg_for(SPECTRE_V1, "memo", "victim") is first
+        assert compiles == []
+        assert worker.saeg_cache_info()["hits"] == 1
+
 
 class TestConfigSerialization:
     def test_roundtrip(self):

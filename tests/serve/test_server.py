@@ -267,6 +267,28 @@ class TestShutdown:
         served.shutdown()
         served.shutdown()
 
+    @pytest.mark.parametrize("transport", ["unix", "tcp"])
+    def test_serve_forever_returns_promptly_after_shutdown(self, tmp_path,
+                                                           transport):
+        import time
+
+        address = ({"socket_path": str(tmp_path / "clou.sock")}
+                   if transport == "unix" else {"port": 0})
+        server = ClouServer(ClouSession(jobs=1, cache=False), **address)
+        server.start()
+        returned = threading.Event()
+        threading.Thread(
+            target=lambda: (server.serve_forever(), returned.set()),
+            daemon=True).start()
+        client = (_client(server) if transport == "unix"
+                  else ClouClient(port=server.port))
+        with client:
+            assert client.ping()["protocol"] == protocol.PROTOCOL_VERSION
+        started = time.monotonic()
+        server.shutdown()
+        assert returned.wait(timeout=1.0), "serve_forever did not return"
+        assert time.monotonic() - started < 1.0
+
     def test_live_socket_refuses_second_daemon(self, served):
         with pytest.raises(OSError, match="live"):
             ClouServer(ClouSession(jobs=1, cache=False),
